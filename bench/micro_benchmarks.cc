@@ -14,9 +14,7 @@
 #include "core/revenue_opt.h"
 #include "core/error_transform.h"
 #include "data/synthetic.h"
-#include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
 #include "ml/trainer.h"
 #include "optim/pava.h"
 #include "optim/simplex.h"
@@ -140,39 +138,6 @@ BENCHMARK(BM_GramMatrix)
     ->Args({20000, 1})
     ->Args({20000, 4})
     ->Unit(benchmark::kMillisecond);
-
-void BM_QrLeastSquares(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  random::Rng rng(6);
-  linalg::Matrix a(n, 20);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < 20; ++j) {
-      a(i, j) = random::SampleStandardNormal(rng);
-    }
-  }
-  const linalg::Vector b = random::SampleNormalVector(rng, n, 0, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::LeastSquaresQr(a, b).value());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_QrLeastSquares)->Arg(200)->Arg(2000);
-
-void BM_JacobiEigen(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  random::Rng rng(7);
-  linalg::Matrix b(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      b(i, j) = random::SampleStandardNormal(rng);
-    }
-  }
-  const linalg::Matrix a = linalg::GramMatrix(b);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::JacobiEigenDecomposition(a).value());
-  }
-}
-BENCHMARK(BM_JacobiEigen)->Arg(8)->Arg(32);
 
 void BM_ErrorTransformBuild(benchmark::State& state) {
   const auto threads = static_cast<size_t>(state.range(0));

@@ -12,9 +12,12 @@
 namespace mbp::fault {
 namespace {
 
-// FNV-1a-64 over the point name: the per-point PCG stream selector, so a
-// point's draw sequence is a pure function of (seed, name).
-uint64_t Fnv1a64(std::string_view s) {
+// The per-point PCG stream selector, so a point's draw sequence is a pure
+// function of (seed, name). This is NOT standard FNV-1a-64 (common/hash.h):
+// its offset basis is the standard 14695981039346656037 with the last
+// digit missing. Fault streams and MBP_CHAOS_SEED replays are keyed on
+// these exact values, so the constant stays as it is; the assert pins it.
+constexpr uint64_t NonStandardFnv64(std::string_view s) {
   uint64_t hash = 1469598103934665603ull;
   for (const char c : s) {
     hash ^= static_cast<uint8_t>(c);
@@ -22,6 +25,7 @@ uint64_t Fnv1a64(std::string_view s) {
   }
   return hash;
 }
+static_assert(NonStandardFnv64("a") == 0x44bd8ad473cd9906ull);
 
 }  // namespace
 
@@ -63,7 +67,7 @@ void FaultInjector::Seed(uint64_t seed) {
 
 void FaultInjector::Arm(std::string_view point, PointSchedule schedule) {
   std::unique_lock lock(impl_->map_mutex);
-  const uint64_t stream = Fnv1a64(point);
+  const uint64_t stream = NonStandardFnv64(point);
   // Point holds a mutex (not assignable): re-arming replaces the node.
   const auto it = impl_->points.find(point);
   if (it != impl_->points.end()) impl_->points.erase(it);

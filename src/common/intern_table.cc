@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace mbp {
 namespace {
@@ -12,12 +13,7 @@ constexpr size_t kInitialCapacity = 64;
 }  // namespace
 
 uint32_t InternTable::Hash(std::string_view key) {
-  uint32_t h = 2166136261u;
-  for (const char c : key) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
+  return Fnv1a32(key.data(), key.size());
 }
 
 InternTable::Table* InternTable::NewTable(size_t capacity) {

@@ -16,22 +16,10 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 
 namespace mbp::wal {
 namespace {
-
-// FNV-1a-32 over the payload: the same per-frame integrity discipline as
-// the wire protocol (net/protocol.h) — a flipped bit anywhere in a
-// record's payload is caught before the record is replayed.
-uint32_t Fnv1a32(const void* data, size_t size) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 uint32_t LoadU32(const uint8_t* p) {
   uint32_t v;

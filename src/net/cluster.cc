@@ -7,29 +7,20 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/sharded_cache.h"
+#include "common/hash.h"
 
 namespace mbp::net {
 namespace {
 
-// FNV-1a-64 for ring points and routing keys. 64-bit (unlike the wire
-// checksum's 32) because ring points must be collision-sparse across
-// num_nodes * vnodes entries.
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Ring positions need uniform HIGH bits (the ring is ordered by the full
-// hash), but FNV's trailing bytes only propagate up to bit ~48 — the
-// prime is ~2^40 — so keys sharing a long prefix ("curve-000001xx",
-// "shard-3#v") cluster into one arc and routing degenerates. A
-// murmur-style finalizer restores full-width avalanche. Part of the ring
-// protocol: every process of a fleet computes this same function.
+// Ring points and routing keys start from FNV-1a-64: 64-bit (unlike the
+// wire checksum's 32) because ring points must be collision-sparse across
+// num_nodes * vnodes entries. Ring positions need uniform HIGH bits (the
+// ring is ordered by the full hash), but FNV's trailing bytes only
+// propagate up to bit ~48 — the prime is ~2^40 — so keys sharing a long
+// prefix ("curve-000001xx", "shard-3#v") cluster into one arc and routing
+// degenerates. A murmur-style finalizer restores full-width avalanche.
+// Part of the ring protocol: every process of a fleet computes this same
+// function.
 uint64_t RingHash(std::string_view bytes) {
   uint64_t h = Fnv1a64(bytes);
   h ^= h >> 33;

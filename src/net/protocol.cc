@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/hash.h"
+
 namespace mbp::net {
 namespace {
 
@@ -13,15 +15,6 @@ constexpr uint8_t kMaxStatusCodeByte =
 // Wire bytes of a SaleRecordPayload: txn_id, curve_ref, delta, price,
 // seed_commitment.
 constexpr size_t kSaleRecordWireBytes = 8 + 4 + 8 + 8 + 8;
-
-uint32_t Fnv1a32(const uint8_t* data, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 bool VerbCarriesVector(Verb verb) {
   return verb == Verb::kPriceAt || verb == Verb::kBudgetToX;

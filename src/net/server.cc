@@ -14,6 +14,7 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "net/shm_ring.h"
 #include "net/transport.h"
 

@@ -5,75 +5,46 @@
 #include <string>
 #include <vector>
 
-#include "common/sharded_cache.h"
 #include "common/statusor.h"
 #include "common/thread_pool.h"
 #include "serving/catalog_registry.h"
 
 namespace mbp::serving {
 
-struct PriceQueryEngineOptions {
-  // Memo-cache geometry; shards are rounded up to a power of two. A
-  // capacity of 0 disables the memo cache (every query evaluates the
-  // snapshot directly).
-  // The cache is direct-mapped (see ShardedMemoCache), so total resident
-  // entries are bounded by shards * capacity; the default is 2^16 slots
-  // (~1.5 MiB), small enough to stay cache-resident under a realistic
-  // working set.
-  size_t cache_shards = 16;
-  size_t cache_capacity_per_shard = 1 << 12;
-
-  // Query quantization step. 0 (default) caches on the exact bit pattern
-  // of x. A positive quantum snaps every query to the nearest multiple of
-  // `quantum` BEFORE evaluation, so nearby queries share one cache entry.
-  // The served price is then exactly the curve's price at Quantize(x) —
-  // quantization trades query resolution for hit rate, never price
-  // fidelity: cached and uncached answers for the same query are still
-  // bit-identical.
-  double quantum = 0.0;
-
-  // Batches smaller than this run inline on the calling thread; pool
-  // dispatch only pays off once a batch clearly exceeds its overhead.
-  size_t min_parallel_batch = 2048;
-  // Queries per ParallelFor chunk in the batch path.
-  size_t batch_grain = 1024;
-};
-
 // The broker-side serving front end for price queries: resolves curve ids
-// through a CatalogRegistry, memoizes repeated point lookups in a sharded
-// cache, and fans large batches across the shared ThreadPool.
+// through a CatalogRegistry, evaluates the current snapshot, and fans
+// large batches across the shared ThreadPool.
 //
 // Concurrency: Price/PriceBatch/BudgetToInverseNcp are safe to call from
 // any number of threads concurrently with Publish/Withdraw on the
-// registry. Point queries take exactly one shard mutex on the memo path;
-// the snapshot itself is resolved through a thread-local pin keyed by the
-// publish stamp, so the atomic shared_ptr load (and its refcount traffic)
-// is paid once per publish per thread, not once per query.
-// Every served price is the bit-exact evaluation of a published snapshot;
-// during a racing republish a query may be served from either the
-// outgoing or the incoming curve, but once Publish returns every new
-// query serves the new curve (stale memo entries are unreachable: the
-// publish stamp is part of the cache key). See DESIGN.md §5b.
+// registry. Every served price is the bit-exact evaluation of a published
+// snapshot; during a racing republish a query may be served from either
+// the outgoing or the incoming curve, but once Publish returns every new
+// query serves the new curve. See DESIGN.md §5b.
 //
 // Determinism: PriceBatch writes each output slot from an independent pure
 // evaluation of one snapshot, so results are bit-identical to the serial
 // loop at every thread count, and to Price() on the same engine.
 class PriceQueryEngine {
  public:
+  // Batches smaller than this run inline on the calling thread; pool
+  // dispatch only pays off once a batch clearly exceeds its overhead.
+  static constexpr size_t kMinParallelBatch = 2048;
+  // Queries per ParallelFor chunk in the batch path.
+  static constexpr size_t kBatchGrain = 1024;
+
   // `registry` must outlive the engine.
-  explicit PriceQueryEngine(const CatalogRegistry* registry,
-                            PriceQueryEngineOptions options = {});
+  explicit PriceQueryEngine(const CatalogRegistry* registry);
 
   // --- Point queries ------------------------------------------------------
 
-  // Price of the model at x = 1/delta, served from the memo cache or the
-  // current snapshot. NotFound if the id was never published or withdrawn.
+  // Price of the model at x = 1/delta on the current snapshot. NotFound if
+  // the id was never published or withdrawn.
   StatusOr<double> Price(const CatalogRegistry::CurveSlot* slot,
                          double x) const;
   StatusOr<double> Price(const std::string& curve_id, double x) const;
 
-  // Largest affordable x for `budget` on the current snapshot (uncached:
-  // budget inversions are already O(log n) and rare relative to prices).
+  // Largest affordable x for `budget` on the current snapshot.
   StatusOr<double> BudgetToInverseNcp(const CatalogRegistry::CurveSlot* slot,
                                       double budget) const;
   StatusOr<double> BudgetToInverseNcp(const std::string& curve_id,
@@ -83,32 +54,14 @@ class PriceQueryEngine {
 
   // Evaluates xs[i] -> out[i] for i in [0, count). The whole batch is
   // served from ONE snapshot load (a consistent view even while the curve
-  // is republished mid-batch) and bypasses the memo cache: the batch path
-  // exists to saturate cores on streaming work, where a per-element shard
-  // lock would serialize it. Results are bit-identical to calling Price()
-  // per element at any thread count.
+  // is republished mid-batch). Results are bit-identical to calling
+  // Price() per element at any thread count.
   Status PriceBatch(const CatalogRegistry::CurveSlot* slot,
                     const double* xs, double* out, size_t count,
                     const ParallelConfig& parallel = {}) const;
   Status PriceBatch(const std::string& curve_id, const std::vector<double>& xs,
                     std::vector<double>* out,
                     const ParallelConfig& parallel = {}) const;
-
-  // --- Introspection ------------------------------------------------------
-
-  // The canonical representative x the engine evaluates for a query x
-  // (identity when options.quantum == 0).
-  double Quantize(double x) const;
-
-  struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  CacheStats cache_stats() const;
-
-  // Drops every memoized price (stats are kept). Queries in flight are
-  // unaffected beyond refilling their entries.
-  void ClearCache() { cache_.Clear(); }
 
   const CatalogRegistry& registry() const { return *registry_; }
 
@@ -117,8 +70,6 @@ class PriceQueryEngine {
       const std::string& curve_id) const;
 
   const CatalogRegistry* registry_;
-  PriceQueryEngineOptions options_;
-  mutable ShardedMemoCache<double> cache_;
 };
 
 }  // namespace mbp::serving

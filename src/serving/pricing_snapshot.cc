@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/sharded_cache.h"
+#include "common/hash.h"
 #include "linalg/kernels.h"
 
 namespace mbp::serving {

@@ -148,7 +148,12 @@ TEST(InternTableTest, ConcurrentInternAndFindAgreeOnRefs) {
   }
   std::thread reader([&table, &stop] {
     uint64_t hits = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    // The last pass starts after `stop` was observed, i.e. after every
+    // writer finished, so it finds every key: hits > 0 by construction,
+    // however the threads are scheduled.
+    bool last = false;
+    do {
+      last = stop.load(std::memory_order_acquire);
       for (int i = 0; i < kKeys; i += 97) {
         const uint32_t ref = table.Find("k" + std::to_string(i));
         if (ref != InternTable::kNotFound) {
@@ -156,7 +161,7 @@ TEST(InternTableTest, ConcurrentInternAndFindAgreeOnRefs) {
           if (table.KeyOf(ref) == "k" + std::to_string(i)) ++hits;
         }
       }
-    }
+    } while (!last);
     EXPECT_GT(hits, 0u);
   });
   for (std::thread& t : writers) t.join();

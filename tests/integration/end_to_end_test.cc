@@ -4,6 +4,8 @@
 // every model family the broker menu supports.
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,12 @@ struct MarketScenario {
   ml::ModelKind model;
   ml::LossKind test_error;
 };
+
+// Print a scenario by name. gtest would otherwise dump the raw bytes,
+// which hold the string's heap address and so change from run to run.
+void PrintTo(const MarketScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
 
 class EndToEndTest : public ::testing::TestWithParam<MarketScenario> {
  protected:
@@ -142,8 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ml::ModelKind::kLogisticRegression,
                        ml::LossKind::kZeroOne},
         MarketScenario{"svm_hinge", ml::ModelKind::kLinearSvm,
-                       ml::LossKind::kSmoothedHinge}),
-    [](const auto& info) { return info.param.name; });
+                       ml::LossKind::kSmoothedHinge}));
 
 TEST(EndToEndPipelineTest, RevenueOrderingAcrossOptimizers) {
   // On an integer-grid market curve: baselines <= DP <= exact <= total

@@ -10,7 +10,6 @@
 
 #include "core/ledger.h"
 #include "data/csv.h"
-#include "data/table.h"
 #include "io/model_io.h"
 #include "random/rng.h"
 
@@ -54,12 +53,11 @@ TEST_P(ReaderFuzzTest, AllReadersSurviveRandomBytes) {
       "fuzz_bytes_" + std::to_string(GetParam()),
       RandomBytes(rng, 64 + rng.NextBounded(512)));
   // Every reader must return (not crash); garbage must not parse as OK
-  // except ReadCsv/Table which can legitimately accept numeric soups.
+  // except ReadCsv, which can legitimately accept numeric soups.
   EXPECT_FALSE(io::ReadModel(path).ok());
   EXPECT_FALSE(io::ReadPricing(path).ok());
   EXPECT_FALSE(core::TransactionLedger::LoadFrom(path).ok());
   (void)data::ReadCsv(path);
-  (void)data::Table::FromCsv(path);
 }
 
 TEST_P(ReaderFuzzTest, AllReadersSurvivePrintableSoup) {
@@ -71,7 +69,6 @@ TEST_P(ReaderFuzzTest, AllReadersSurvivePrintableSoup) {
   EXPECT_FALSE(io::ReadPricing(path).ok());
   EXPECT_FALSE(core::TransactionLedger::LoadFrom(path).ok());
   (void)data::ReadCsv(path);
-  (void)data::Table::FromCsv(path);
 }
 
 TEST_P(ReaderFuzzTest, TruncatedValidModelNeverCrashes) {

@@ -51,16 +51,16 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
+using serving::CatalogRegistry;
 
 // Same arbitrage-free family as net_integration_test.cc.
 PiecewiseLinearPricing MakeVariant(size_t k) {
@@ -138,8 +138,8 @@ class NetChaosTest : public ::testing::Test {
   uint64_t seed_ = 0;
   std::string transport_;
   std::string shm_path_;
-  SnapshotRegistry registry_;
-  const SnapshotRegistry::CurveSlot* slot_ = nullptr;
+  CatalogRegistry registry_;
+  const CatalogRegistry::CurveSlot* slot_ = nullptr;
   std::unique_ptr<PriceQueryEngine> engine_;
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;

@@ -9,28 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "net/protocol.h"
 #include "random/rng.h"
 
 namespace mbp::net {
 namespace {
 
-// Test-local FNV-1a so corruption tests can re-seal frames they mutate
-// without going through the library's encoder.
-uint32_t TestFnv1a32(const uint8_t* data, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
-
+// Re-seals a frame a corruption test mutated, without going through the
+// library's encoder.
 void Reseal(std::string* frame) {
   uint32_t frame_len = 0;
   std::memcpy(&frame_len, frame->data(), 4);
-  const uint32_t checksum = TestFnv1a32(
-      reinterpret_cast<const uint8_t*>(frame->data()) + 8, frame_len);
+  const uint32_t checksum = Fnv1a32(frame->data() + 8, frame_len);
   std::memcpy(frame->data() + 4, &checksum, 4);
 }
 

@@ -30,16 +30,16 @@
 #include "net/server.h"
 #include "net/shm_ring.h"
 #include "net/transport.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
+using serving::CatalogRegistry;
 
 PiecewiseLinearPricing MakeCurve() {
   return PiecewiseLinearPricing::Create(
@@ -252,8 +252,8 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
     return conn;
   }
 
-  SnapshotRegistry registry_;
-  const SnapshotRegistry::CurveSlot* slot_ = nullptr;
+  CatalogRegistry registry_;
+  const CatalogRegistry::CurveSlot* slot_ = nullptr;
   std::unique_ptr<PriceQueryEngine> engine_;
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;
@@ -489,7 +489,7 @@ TEST(TransportFallback, UringRequestFallsBackToEpoll) {
     return;
   }
   ASSERT_FALSE(UringAvailable());
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   ASSERT_TRUE(registry.Publish("pricing", MakeCurve()).ok());
   PriceQueryEngine engine(&registry);
   ServerOptions options;

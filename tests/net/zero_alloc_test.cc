@@ -27,8 +27,8 @@
 #include "core/pricing_function.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "serving/catalog_registry.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace {
 
@@ -77,7 +77,7 @@ namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
+using serving::CatalogRegistry;
 
 int RawConnect(uint16_t port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -143,7 +143,7 @@ TEST(ZeroAllocTest, SteadyStatePriceAtPathMakesNoServerHeapAllocations) {
   GTEST_SKIP() << "sanitizer runtimes own the allocator";
 #endif
 #endif
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto published = registry.Publish(
       "pricing", PiecewiseLinearPricing::Create(
                      {{1.0, 10.0}, {2.0, 18.0}, {4.0, 30.0}, {8.0, 40.0}})
@@ -219,7 +219,7 @@ TEST(ZeroAllocTest, MultiCurveSteadyStateMakesNoServerHeapAllocations) {
 #endif
 #endif
   constexpr size_t kCurves = 64;
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   std::vector<std::string> ids;
   for (size_t i = 0; i < kCurves; ++i) {
     ids.push_back("listing-" + std::to_string(i));

@@ -1,8 +1,8 @@
 // CatalogRegistry (serving/catalog_registry.h): dense-ref resolution,
 // residency gauges, idle eviction, the max-listings LRU cap, and
 // republish-under-zipf-load — the marketplace-scale behaviors layered on
-// top of the PR-2 RCU publish contract (which pricing_snapshot_test.cc
-// still pins via the SnapshotRegistry alias).
+// top of the RCU publish contract (which price_query_engine_test.cc
+// pins: publish, find, withdraw, rejected publishes, unique stamps).
 
 #include "serving/catalog_registry.h"
 
@@ -169,7 +169,12 @@ TEST(CatalogRegistryStressTest, RepublishUnderZipfLoadStaysCoherent) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       random::Rng rng(1000 + t);
-      while (!stop.load(std::memory_order_acquire)) {
+      // The last pass starts after `stop` was observed, i.e. after the
+      // publisher's final Publish, when every curve is live: each reader
+      // loads at least once, however the threads are scheduled.
+      bool last = false;
+      do {
+        last = stop.load(std::memory_order_acquire);
         const size_t index = zipf.Sample(rng);
         const CatalogRegistry::CurveSlot* slot = registry.Find(ids[index]);
         ASSERT_NE(slot, nullptr);
@@ -183,7 +188,7 @@ TEST(CatalogRegistryStressTest, RepublishUnderZipfLoadStaysCoherent) {
         ASSERT_EQ(p1, p2);
         slot->Touch(CatalogRegistry::NowMicros());
         loads.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!last);
     });
   }
 

@@ -433,6 +433,73 @@ TEST_F(CliTest, BuySubcommandPurchasesIdempotentlyAndReplays) {
       << captured;
 }
 
+// Transaction ids span all 64 bits (client-made ids are HashMix64
+// outputs), so --txn must round-trip exactly: 2^53 + 1 is the first id a
+// double cannot hold. Malformed ids are refused, not truncated.
+TEST_F(CliTest, BuyTxnIdsRoundTripAllSixtyFourBits) {
+  const std::string pricing_path = TempPath("serve_txn64.mbp");
+  WritePricingFile(pricing_path, 1.0);
+  ServeProcess proc = SpawnServeTcp(pricing_path, /*with_stdin=*/true);
+  ASSERT_GE(proc.pid, 0);
+  ASSERT_NE(proc.out, nullptr);
+
+  std::string captured;
+  ASSERT_TRUE(ReadUntil(proc.out, "listening on", &captured)) << captured;
+  const uint16_t port = ParseListeningPort(captured);
+  ASSERT_GT(port, 0) << captured;
+  const std::string port_flag = " --port=" + std::to_string(port);
+
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+
+  const std::string w1 = TempPath("txn64_w1.txt");
+  const CommandResult bought = RunCli(
+      "buy" + port_flag + " --curve-id=pricing --delta=0.5" +
+      " --txn=9007199254740993 --out-weights=" + w1);
+  EXPECT_EQ(bought.exit_code, 0) << bought.output;
+  EXPECT_NE(bought.output.find("sale txn=9007199254740993 "),
+            std::string::npos)
+      << bought.output;
+  const std::string weights = read_file(w1);
+  EXPECT_FALSE(weights.empty());
+
+  const std::string w2 = TempPath("txn64_w2.txt");
+  const CommandResult replayed =
+      RunCli("buy" + port_flag +
+             " --txn=9007199254740993 --replay --out-weights=" + w2);
+  EXPECT_EQ(replayed.exit_code, 0) << replayed.output;
+  EXPECT_NE(replayed.output.find("sale txn=9007199254740993 "),
+            std::string::npos)
+      << replayed.output;
+  EXPECT_EQ(read_file(w2), weights);
+
+  for (const char* bad : {"12abc", "-1", "18446744073709551616", ""}) {
+    const CommandResult refused = RunCli(
+        "buy" + port_flag + " --curve-id=pricing --delta=0.5 --txn=" + bad);
+    EXPECT_NE(refused.exit_code, 0) << bad << ": " << refused.output;
+    EXPECT_NE(refused.output.find("--txn must be an unsigned 64-bit"),
+              std::string::npos)
+        << bad << ": " << refused.output;
+  }
+
+  ASSERT_EQ(write(proc.stdin_fd, "quit\n", 5), 5);
+  close(proc.stdin_fd);
+  while (ReadUntil(proc.out, "\x01never", &captured)) {
+  }
+  fclose(proc.out);
+  int status = 0;
+  ASSERT_EQ(waitpid(proc.pid, &status, 0), proc.pid);
+  ASSERT_TRUE(WIFEXITED(status)) << captured;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << captured;
+  // One sale: the refused ids never reached the server.
+  EXPECT_NE(captured.find("fulfillment: 1 sales, revenue 18.00"),
+            std::string::npos)
+      << captured;
+}
+
 TEST_F(CliTest, SimulateRunsAndWritesLedger) {
   const std::string ledger_path = TempPath("ledger.mbp");
   const CommandResult result = RunCli(

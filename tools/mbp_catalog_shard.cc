@@ -33,9 +33,11 @@
 //                    (default 1). Every shard of a fleet must agree on
 //                    the fulfillment seeds below, or a BUY retried
 //                    against a replica delivers different bytes.
-//   --epoch-seed=N   fulfillment epoch seed (noise derivation;
-//                    default 0x5EED0001)
-//   --dataset-seed=N fulfillment training-set seed (default 0xD474)
+//   --epoch-seed=N   fulfillment epoch seed (noise derivation; an
+//                    unsigned 64-bit decimal, default 1592590337 =
+//                    0x5EED0001)
+//   --dataset-seed=N fulfillment training-set seed (unsigned 64-bit
+//                    decimal, default 54388 = 0xD474)
 //   --model-dim=N    sold model dimensionality (default 16)
 //   --model-cache-bytes=N  trained-model LRU budget (default 64 MiB)
 //   --wal-dir=PATH   crash-safe durability (DESIGN.md §5j): journal
@@ -67,6 +69,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -87,6 +90,30 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
+
+// Reads --name=N as an unsigned 64-bit integer into *value, which keeps
+// its default when the flag is absent. Seeds span all 64 bits, which the
+// double behind bench::FlagValue rounds above 2^53, so N must be a plain
+// base-10 number: the whole string, no sign, no overflow.
+bool ParseU64Flag(int argc, char** argv, const char* name, uint64_t* value) {
+  const std::string prefix = std::string("--") + name + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) != 0) continue;
+    const char* text = argv[i] + prefix.size();
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || errno == ERANGE || *end != '\0') {
+      std::fprintf(stderr,
+                   "--%s must be an unsigned 64-bit decimal (got '%s')\n",
+                   name, text);
+      return false;
+    }
+    *value = parsed;
+    return true;
+  }
+  return true;
+}
 
 // The seeded fault storm of tests/net/chaos_test.cc, scaled: transient
 // EINTR/EAGAIN, short reads/writes, delays, resets, accept-side refusals.
@@ -229,9 +256,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<serving::FulfillmentEngine> fulfillment;
   if (flag("fulfill", 1) != 0) {
     serving::FulfillmentOptions fopts;
-    fopts.epoch_seed =
-        static_cast<uint64_t>(flag("epoch-seed", 0x5EED0001));
-    fopts.dataset_seed = static_cast<uint64_t>(flag("dataset-seed", 0xD474));
+    if (!ParseU64Flag(argc, argv, "epoch-seed", &fopts.epoch_seed) ||
+        !ParseU64Flag(argc, argv, "dataset-seed", &fopts.dataset_seed)) {
+      return 1;
+    }
     fopts.model_dim = static_cast<size_t>(flag("model-dim", 16));
     fopts.max_model_cache_bytes = static_cast<size_t>(
         flag("model-cache-bytes", 64.0 * 1024 * 1024));

@@ -29,15 +29,14 @@
 //
 //   mbp_market_cli serve  --pricing=pricing.mbp [--queries=q.txt]
 //                         [--curve-id=pricing] [--threads=0]
-//                         [--quantum=0] [--invert-budget]
+//                         [--invert-budget]
 //     Compiles the stored curve into an immutable serving snapshot
 //     (re-checking the certificate), publishes it in an in-process
 //     registry, and answers price queries through the lock-free
 //     PriceQueryEngine batch path. Queries are one x = 1/NCP per line
-//     from --queries or stdin; each answer line is "x price". With
-//     --invert-budget each input line is a budget and the answer is the
-//     largest affordable x. --quantum snaps queries to a grid before
-//     evaluation (see DESIGN.md §5b).
+//     from --queries or stdin; each answer line is "x price", the exact
+//     price on the stored curve. With --invert-budget each input line is
+//     a budget and the answer is the largest affordable x.
 //
 //     With --tcp[=PORT] the curve is served over TCP on 127.0.0.1
 //     instead (epoll front end, DESIGN.md §5d). --tcp=N or --port=N
@@ -52,14 +51,14 @@
 //
 //     TCP serving also answers the fulfillment verbs (QUOTE/BUY/REPLAY,
 //     DESIGN.md §5i) unless --no-sell is given. --epoch-seed=N and
-//     --dataset-seed=N pin the noise/training seeds (defaults match
-//     mbp_catalog_shard), --model-dim=N sets the sold model's
-//     dimensionality, --model-cache-bytes=N the trained-model LRU
-//     budget. --wal-dir=PATH makes the sale ledger crash-safe
-//     (DESIGN.md §5j): sales append to a write-ahead log before
-//     delivery, the ledger rebuilds from it on restart, and the drain
-//     prints a durability summary; --wal-fsync=none|batch|every picks
-//     the fsync policy (default batch).
+//     --dataset-seed=N (unsigned 64-bit decimals) pin the noise/training
+//     seeds (defaults match mbp_catalog_shard), --model-dim=N sets the
+//     sold model's dimensionality, --model-cache-bytes=N the
+//     trained-model LRU budget. --wal-dir=PATH makes the sale ledger
+//     crash-safe (DESIGN.md §5j): sales append to a write-ahead log
+//     before delivery, the ledger rebuilds from it on restart, and the
+//     drain prints a durability summary; --wal-fsync=none|batch|every
+//     picks the fsync policy (default batch).
 //
 //   mbp_market_cli buy    --port=N [--host=127.0.0.1] [--curve-id=ID]
 //                         --delta=0.5 [--txn=N] [--no-quote]
@@ -68,10 +67,11 @@
 //     mbp_catalog_shard) process: QUOTEs the curve at δ, then BUYs with
 //     the signed token so the paid price is exactly the quoted one
 //     (--no-quote skips the token and buys at the live snapshot price).
-//     --txn pins the transaction id (0 auto-generates one); re-running
-//     with the same id re-delivers the recorded sale without charging
-//     again, and --replay fetches it via the REPLAY verb instead.
-//     --out-weights writes the delivered weights one per line.
+//     --txn pins the transaction id, an unsigned 64-bit decimal (0
+//     auto-generates one); re-running with the same id re-delivers the
+//     recorded sale without charging again, and --replay fetches it via
+//     the REPLAY verb instead. --out-weights writes the delivered
+//     weights one per line.
 //
 //   mbp_market_cli simulate --csv=data.csv --task=regression
 //                           [--buyers=1000] [--jitter=0.1]
@@ -105,9 +105,9 @@
 #include "ml/trainer.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp {
 namespace {
@@ -128,6 +128,25 @@ std::optional<std::string> StringFlag(int argc, char** argv,
 double DoubleFlag(int argc, char** argv, const char* name, double fallback) {
   const auto value = StringFlag(argc, argv, name);
   return value ? std::atof(value->c_str()) : fallback;
+}
+
+// --name=N as an unsigned 64-bit integer. Ids and seeds span all 64 bits,
+// which DoubleFlag would round above 2^53, so the value must be a plain
+// base-10 number: the whole string, no sign, no overflow.
+StatusOr<uint64_t> U64Flag(int argc, char** argv, const char* name,
+                           uint64_t fallback) {
+  const auto value = StringFlag(argc, argv, name);
+  if (!value) return fallback;
+  const char* text = value->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || errno == ERANGE || *end != '\0') {
+    return InvalidArgumentError(std::string("--") + name +
+                                " must be an unsigned 64-bit decimal (got '" +
+                                *value + "')");
+  }
+  return static_cast<uint64_t>(parsed);
 }
 
 bool BoolFlag(int argc, char** argv, const char* name) {
@@ -394,9 +413,9 @@ int RunCheckPricing(int argc, char** argv) {
 volatile std::sig_atomic_t g_serve_shutdown = 0;
 void HandleServeSignal(int) { g_serve_shutdown = 1; }
 
-int RunServeTcp(int argc, char** argv, serving::SnapshotRegistry* registry,
+int RunServeTcp(int argc, char** argv, serving::CatalogRegistry* registry,
                 serving::PriceQueryEngine* engine,
-                const serving::SnapshotRegistry::CurveSlot* slot,
+                const serving::CatalogRegistry::CurveSlot* slot,
                 const std::string& curve_id) {
   net::ServerOptions options;
   options.port = static_cast<uint16_t>(DoubleFlag(argc, argv, "port", 0));
@@ -411,12 +430,14 @@ int RunServeTcp(int argc, char** argv, serving::SnapshotRegistry* registry,
   std::unique_ptr<serving::FulfillmentEngine> fulfillment;
   if (!BoolFlag(argc, argv, "no-sell")) {
     serving::FulfillmentOptions fopts;
-    fopts.epoch_seed = static_cast<uint64_t>(
-        DoubleFlag(argc, argv, "epoch-seed",
-                   static_cast<double>(fopts.epoch_seed)));
-    fopts.dataset_seed = static_cast<uint64_t>(
-        DoubleFlag(argc, argv, "dataset-seed",
-                   static_cast<double>(fopts.dataset_seed)));
+    const auto epoch_seed =
+        U64Flag(argc, argv, "epoch-seed", fopts.epoch_seed);
+    if (!epoch_seed.ok()) return Fail(epoch_seed.status().ToString());
+    fopts.epoch_seed = *epoch_seed;
+    const auto dataset_seed =
+        U64Flag(argc, argv, "dataset-seed", fopts.dataset_seed);
+    if (!dataset_seed.ok()) return Fail(dataset_seed.status().ToString());
+    fopts.dataset_seed = *dataset_seed;
     fopts.model_dim = static_cast<size_t>(
         DoubleFlag(argc, argv, "model-dim",
                    static_cast<double>(fopts.model_dim)));
@@ -601,14 +622,12 @@ int RunServe(int argc, char** argv) {
   // Publish: compiles the curve into an immutable snapshot, re-checking
   // the arbitrage-freeness certificate (a tampered pricing file is
   // rejected here, before it can serve a single price).
-  serving::SnapshotRegistry registry;
+  serving::CatalogRegistry registry;
   auto published = registry.Publish(curve_id, *pricing);
   if (!published.ok()) return Fail(published.status().ToString());
-  const serving::SnapshotRegistry::CurveSlot* slot = *published;
+  const serving::CatalogRegistry::CurveSlot* slot = *published;
 
-  serving::PriceQueryEngineOptions engine_options;
-  engine_options.quantum = DoubleFlag(argc, argv, "quantum", 0.0);
-  serving::PriceQueryEngine engine(&registry, engine_options);
+  serving::PriceQueryEngine engine(&registry);
 
   if (BoolFlag(argc, argv, "tcp") ||
       StringFlag(argc, argv, "tcp").has_value()) {
@@ -671,8 +690,9 @@ int RunBuy(int argc, char** argv) {
       StringFlag(argc, argv, "host").value_or("127.0.0.1");
   const std::string curve_id =
       StringFlag(argc, argv, "curve-id").value_or("");
-  const uint64_t txn =
-      static_cast<uint64_t>(DoubleFlag(argc, argv, "txn", 0));
+  const auto parsed_txn = U64Flag(argc, argv, "txn", 0);
+  if (!parsed_txn.ok()) return Fail(parsed_txn.status().ToString());
+  const uint64_t txn = *parsed_txn;
 
   auto client = net::PriceClient::Connect(host, port);
   if (!client.ok()) return Fail(client.status().ToString());
